@@ -1,24 +1,23 @@
 //! Batch execution: fan many full FORAY-GEN jobs across a shared thread
 //! pool.
 //!
-//! The sharded analyzer ([`crate::shard`]) parallelizes *within* one trace;
-//! this module parallelizes *across* programs — the shape of the bench
-//! suite (workload corpus × tables) and of design-space exploration sweeps.
-//! Jobs are pulled from a shared atomic cursor by `N` scoped worker
-//! threads, and results are returned **in job order** regardless of which
-//! worker finished first, so batch output is deterministic.
+//! Analysis of one trace is a single sequential pass (the analyzer is
+//! online and constant-space); parallelism lives *across* independent
+//! jobs — the shape of the bench suite (workload corpus × tables), of
+//! design-space exploration sweeps and of multi-file replay. Jobs are
+//! pulled from a shared atomic cursor by `N` scoped worker threads, and
+//! results are returned **in job order** regardless of which worker
+//! finished first, so batch output is deterministic.
 
 use crate::analyzer::{analyze_source_with, Analysis, AnalyzerConfig};
 use crate::pipeline::{ForayGen, ForayGenOutput, PipelineError};
-use crate::shard::resolve_shards;
 use minic_trace::{ReadError, TraceFile};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// One unit of batch work: a source program plus the pipeline to run it
-/// through (filter thresholds, inputs, analyzer configuration — including
-/// sharded analysis, if the pipeline asks for it).
+/// through (filter thresholds, inputs, analyzer configuration).
 #[derive(Debug, Clone, Default)]
 pub struct BatchJob {
     /// Label for reports (workload name, file name, ...).
@@ -40,6 +39,23 @@ impl BatchJob {
         self.pipeline = pipeline;
         self
     }
+}
+
+/// Resolves a requested job-pool worker count: `0` means auto-detect
+/// ([`std::thread::available_parallelism`], at least 1); any other value
+/// passes through verbatim.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(foray::resolve_shards(3), 3);
+/// assert!(foray::resolve_shards(0) >= 1);
+/// ```
+pub fn resolve_shards(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1)
 }
 
 /// Applies `f` to every item across `workers` threads (`0` = auto-detect,
@@ -123,10 +139,8 @@ pub fn analyze_batch(
 ///
 /// This is the batch companion of [`crate::analyze_source`]: each file is
 /// opened with [`minic_trace::TraceFile::open`] and analyzed with a
-/// sequential analyzer under `config` (parallelism comes from the fan-out
-/// across files; set `config.shards` and use
-/// [`crate::shard::analyze_sharded_source`] instead to parallelize within
-/// one huge trace). Per-file failures stay in their slot.
+/// sequential analyzer under `config`; parallelism comes from the fan-out
+/// across files. Per-file failures stay in their slot.
 ///
 /// # Examples
 ///
@@ -204,6 +218,56 @@ mod tests {
         let items = ["a", "b", "c"];
         let got = map_ordered(&items, 2, |i, s| format!("{i}:{s}"));
         assert_eq!(got, vec!["0:a", "1:b", "2:c"]);
+    }
+
+    #[test]
+    fn resolve_shards_prefers_explicit_request() {
+        for n in [1usize, 2, 7, 64] {
+            assert_eq!(resolve_shards(n), n);
+        }
+        let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(resolve_shards(0), avail.max(1));
+    }
+
+    /// Distinct programs (one of which fails to compile) rendered to one
+    /// report string: the batch must be byte-identical and in job order
+    /// whatever the pool width.
+    #[test]
+    fn batch_output_is_byte_identical_across_worker_counts() {
+        let sources = [
+            GOOD,
+            "int b[64]; void main() { int i; for (i = 63; i >= 0; i--) { b[i] = 2 * i; } }",
+            "void main() {",
+            "int c[16][16]; void main() { int i; int j;
+             for (i = 0; i < 16; i++) { for (j = 0; j < 16; j++) { c[j][i] = i + j; } } }",
+            "char d[256]; void main() { int i; for (i = 0; i < 256; i += 3) { d[i] = 1; } }",
+        ];
+        let js: Vec<BatchJob> = sources
+            .iter()
+            .enumerate()
+            .map(|(i, src)| {
+                BatchJob::new(format!("job{i}"), *src)
+                    .pipeline(ForayGen::new().filter(crate::FilterConfig { n_exec: 4, n_loc: 4 }))
+            })
+            .collect();
+        let render_one = |job: &BatchJob, r: &Result<ForayGenOutput, PipelineError>| match r {
+            Ok(out) => format!("== {}\n{}", job.name, out.code),
+            Err(e) => format!("== {}\nerror: {e}\n", job.name),
+        };
+        let direct: Vec<String> =
+            js.iter().map(|job| render_one(job, &job.pipeline.run_source(&job.source))).collect();
+        assert!(direct[2].starts_with("== job2\nerror: frontend"), "{}", direct[2]);
+        for workers in [1usize, 2, 7] {
+            let batch = analyze_batch(&js, workers);
+            let rendered: Vec<String> =
+                js.iter().zip(&batch).map(|(job, r)| render_one(job, r)).collect();
+            assert_eq!(rendered, direct, "analyze_batch, workers={workers}");
+            let mapped = map_ordered(&js, workers, |i, job| {
+                (i, render_one(job, &job.pipeline.run_source(&job.source)))
+            });
+            let expected: Vec<(usize, String)> = direct.iter().cloned().enumerate().collect();
+            assert_eq!(mapped, expected, "map_ordered, workers={workers}");
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!
 //! Which configuration fields participate is a semantic decision, not a
 //! mechanical one: fields that **cannot** change the output bytes are
-//! deliberately excluded. The shard/worker count and streaming block tuning
-//! never enter a digest, because the equivalence suites prove the analysis
-//! is byte-identical for any worker count — that determinism guarantee is
-//! exactly what makes a content-addressed cache sound (see
-//! `docs/ARCHITECTURE.md`, "Service layer").
+//! deliberately excluded. The reference-lookup strategy never enters a
+//! digest, because the analyzer's tests lock every strategy to a
+//! byte-identical analysis, and job-pool widths are not configuration of
+//! the analysis at all — that determinism is exactly what makes a
+//! content-addressed cache sound (see `docs/ARCHITECTURE.md`, "Service
+//! layer").
 //!
 //! # Examples
 //!
@@ -144,10 +145,9 @@ impl AnalyzerConfig {
     ///   canonical `--sample` spelling, which round-trips through
     ///   [`minic_trace::SampleSpec::parse`]).
     ///
-    /// `shards`, `stream`, and `lookup` are excluded on purpose: worker
-    /// count, block tuning, and lookup strategy are proven not to change
-    /// the output (`tests/shard_equiv.rs`, `tests/stream_equiv.rs`), so
-    /// keying on them would only fragment a result cache.
+    /// `lookup` is excluded on purpose: the analyzer's
+    /// `all_lookup_strategies_agree` test locks the lookup strategies to
+    /// the same output, so keying on it would only fragment a result cache.
     pub fn stable_digest(&self, h: &mut StableHasher) {
         h.field_bool("analyzer.track_footprint", self.track_footprint);
         h.field_str("analyzer.sample", &self.sample.to_string());
@@ -213,19 +213,11 @@ mod tests {
             c.stable_digest(&mut h);
             h.finish_hex()
         };
-        // Worker count and stream tuning are determinism-covered: no
-        // cache fragmentation.
-        assert_eq!(hex(&base), hex(&AnalyzerConfig { shards: 16, ..base.clone() }));
+        // The lookup strategy is determinism-covered: no cache
+        // fragmentation.
         assert_eq!(
             hex(&base),
-            hex(&AnalyzerConfig {
-                stream: crate::StreamConfig {
-                    block_records: 1,
-                    channel_blocks: 9,
-                    ..crate::StreamConfig::default()
-                },
-                ..base.clone()
-            })
+            hex(&AnalyzerConfig { lookup: crate::LookupStrategy::Hash, ..base.clone() })
         );
         // Sampling changes which accesses the analyzer sees: must miss.
         assert_ne!(

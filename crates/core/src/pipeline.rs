@@ -9,32 +9,10 @@ use crate::analyzer::{Analysis, Analyzer, AnalyzerConfig};
 use crate::codegen;
 use crate::hints::{inline_hints, InlineHint};
 use crate::model::{FilterConfig, ForayModel};
-use crate::shard::{self, ShardedAnalyzer};
 use minic::Program;
 use minic_sim::{Engine, RuntimeError, SimConfig, SimOutcome};
-use minic_trace::{TeeSink, TraceSink, TraceStats};
+use minic_trace::{TeeSink, TraceStats};
 use std::fmt;
-
-/// How [`ForayGen`] parallelizes the analysis half of a profiling run.
-///
-/// Every mode produces a byte-identical [`Analysis`]; they differ only in
-/// memory shape and wall-clock (see `docs/ARCHITECTURE.md`, "Streaming &
-/// backpressure").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// The sequential online analyzer rides the simulation directly — the
-    /// paper's constant-space mode.
-    #[default]
-    Off,
-    /// K shard workers consume routed record blocks over bounded channels
-    /// *while the VM executes* — parallel and still constant-space
-    /// (O(shards × block) buffered records).
-    Streaming,
-    /// Route the whole stream into per-shard buffers, fan workers out at
-    /// the end — O(trace) memory; kept for A/B comparison against
-    /// `Streaming` (see the `fused_exec` bench).
-    Buffered,
-}
 
 /// Pipeline failure: either the frontend rejected the program or the
 /// profiling run faulted.
@@ -141,7 +119,6 @@ pub struct ForayGen {
     analyzer: AnalyzerConfig,
     sim: SimConfig,
     inputs: Vec<i64>,
-    sharding: ShardMode,
 }
 
 impl ForayGen {
@@ -163,20 +140,10 @@ impl ForayGen {
         self
     }
 
-    /// Turns parallel analysis on ([`ShardMode::Streaming`]: K shard
-    /// workers fed over bounded channels while the VM runs; K from the
-    /// analyzer configuration's `shards`, `0` = auto) or off
-    /// ([`ShardMode::Off`]). The result is identical to the sequential
-    /// path in either case.
-    pub fn sharded(mut self, on: bool) -> Self {
-        self.sharding = if on { ShardMode::Streaming } else { ShardMode::Off };
-        self
-    }
-
-    /// Selects the parallel-analysis mode explicitly (the buffered legacy
-    /// path stays reachable for A/B benchmarking).
-    pub fn shard_mode(mut self, mode: ShardMode) -> Self {
-        self.sharding = mode;
+    /// Does nothing: analysis is always sequential; kept so existing
+    /// callers compile. Run independent programs in parallel with
+    /// [`crate::analyze_batch`] instead.
+    pub fn sharded(self, _on: bool) -> Self {
         self
     }
 
@@ -225,54 +192,18 @@ impl ForayGen {
         self.run_instrumented(prog)
     }
 
-    /// Profiles the program with `analyzer` (and trace statistics) riding
+    /// Profiles the program with the analyzer and trace statistics riding
     /// the simulation as sinks.
-    fn profile<A: TraceSink>(
-        &self,
-        prog: &Program,
-        analyzer: A,
-    ) -> Result<(A, SimOutcome, TraceStats), PipelineError> {
-        let mut sink = TeeSink::new(analyzer, TraceStats::new());
+    fn profile(&self, prog: &Program) -> Result<(Analysis, SimOutcome, TraceStats), PipelineError> {
+        let mut sink =
+            TeeSink::new(Analyzer::with_config(self.analyzer.clone()), TraceStats::new());
         let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut sink)?;
         let (analyzer, trace_stats) = sink.into_inner();
-        Ok((analyzer, sim, trace_stats))
-    }
-
-    /// Profiles the program once and analyzes it per the sharding mode.
-    /// All three modes funnel the simulation through the same
-    /// [`Self::profile`] helper — they differ only in which sink rides it
-    /// and when workers run.
-    fn profile_analysis(
-        &self,
-        prog: &Program,
-    ) -> Result<(Analysis, SimOutcome, TraceStats), PipelineError> {
-        match self.sharding {
-            ShardMode::Off => {
-                let (a, sim, ts) =
-                    self.profile(prog, Analyzer::with_config(self.analyzer.clone()))?;
-                Ok((a.into_analysis(), sim, ts))
-            }
-            ShardMode::Buffered => {
-                let (a, sim, ts) =
-                    self.profile(prog, ShardedAnalyzer::with_config(self.analyzer.clone()))?;
-                Ok((a.into_analysis(), sim, ts))
-            }
-            ShardMode::Streaming => {
-                // Workers analyze routed blocks while the VM is still
-                // executing; the producer closure is the profiling run
-                // itself, with the block router as its sink.
-                let (analysis, (sim, ts), _stats) =
-                    shard::analyze_streaming_with(&self.analyzer, |sink| {
-                        let (_, sim, ts) = self.profile(prog, sink)?;
-                        Ok::<_, PipelineError>((sim, ts))
-                    })?;
-                Ok((analysis, sim, ts))
-            }
-        }
+        Ok((analyzer.into_analysis(), sim, trace_stats))
     }
 
     fn run_instrumented(&self, prog: Program) -> Result<ForayGenOutput, PipelineError> {
-        let (analysis, sim, trace_stats) = self.profile_analysis(&prog)?;
+        let (analysis, sim, trace_stats) = self.profile(&prog)?;
         let model = ForayModel::extract(&analysis, &self.filter);
         let code = codegen::emit(&model);
         let hints = inline_hints(&prog, analysis.tree());
@@ -402,40 +333,35 @@ mod tests {
         }
     }
 
+    /// `sharded(bool)` is a compatibility no-op: either value runs the one
+    /// sequential analyzer.
     #[test]
     fn sharded_pipeline_matches_sequential() {
         let seq = ForayGen::new().run_source(FIG4).unwrap();
-        for mode in [ShardMode::Streaming, ShardMode::Buffered] {
-            let sharded = ForayGen::new()
-                .shard_mode(mode)
-                .analyzer(AnalyzerConfig { shards: 3, ..AnalyzerConfig::default() })
-                .run_source(FIG4)
-                .unwrap();
-            assert_eq!(seq.analysis, sharded.analysis, "{mode:?}");
-            assert_eq!(seq.code, sharded.code, "{mode:?}");
-            assert_eq!(seq.trace_stats, sharded.trace_stats, "{mode:?}");
+        for on in [true, false] {
+            let out = ForayGen::new().sharded(on).run_source(FIG4).unwrap();
+            assert_eq!(seq.analysis, out.analysis, "sharded({on})");
+            assert_eq!(seq.code, out.code, "sharded({on})");
+            assert_eq!(seq.trace_stats, out.trace_stats, "sharded({on})");
         }
-        // `sharded(true)` selects the streaming mode.
-        assert_eq!(ForayGen::new().sharded(true).run_source(FIG4).unwrap().analysis, seq.analysis);
     }
 
     #[test]
     fn sampled_pipeline_is_identical_across_modes() {
         use minic_trace::SampleSpec;
-        let config = AnalyzerConfig {
-            shards: 2,
-            sample: SampleSpec::EveryNth { n: 2 },
-            ..AnalyzerConfig::default()
-        };
+        let config =
+            AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..AnalyzerConfig::default() };
         let seq = ForayGen::new().analyzer(config.clone()).run_source(FIG4).unwrap();
         // Sampling halves the analyzed accesses but not the trace itself.
         assert!(seq.analysis.accesses() < seq.trace_stats.accesses);
-        for mode in [ShardMode::Streaming, ShardMode::Buffered] {
-            let out =
-                ForayGen::new().analyzer(config.clone()).shard_mode(mode).run_source(FIG4).unwrap();
-            assert_eq!(out.analysis, seq.analysis, "{mode:?}");
-            assert_eq!(out.trace_stats, seq.trace_stats, "{mode:?}");
-        }
+        // Sampling runs inside the analyzer, so the legacy `sharded(true)`
+        // request and the online/offline split all see the same decisions.
+        let legacy =
+            ForayGen::new().analyzer(config.clone()).sharded(true).run_source(FIG4).unwrap();
+        assert_eq!(legacy.analysis, seq.analysis);
+        let prog = minic::frontend(FIG4).unwrap();
+        let (_, records) = minic_sim::run(&prog, &SimConfig::default(), &[]).unwrap();
+        assert_eq!(crate::analyzer::analyze_with(&records, config), seq.analysis);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   (see `AnalyzerConfig::stable_digest`);
 //! * the `input()` data fed to the program.
 //!
-//! **Deliberately excluded:** worker/shard counts, stream tuning, lookup
-//! strategy, and scheduling priority. The shard- and stream-equivalence
-//! suites prove those cannot change output bytes; keying on them would
-//! only fragment the cache.
+//! **Deliberately excluded:** daemon worker counts, lookup strategy, and
+//! scheduling priority. None can change output bytes (the lookup
+//! strategies are locked equal by the analyzer's tests, and each job runs
+//! the one sequential analyzer whatever the pool width); keying on them
+//! would only fragment the cache.
 
 use crate::protocol::{JobInput, JobSpec};
 use crate::{ErrorCode, ProtoError};

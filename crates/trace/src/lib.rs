@@ -44,7 +44,6 @@ pub mod index;
 pub mod layout;
 pub mod record;
 pub mod sample;
-pub mod shard;
 pub mod sink;
 pub mod source;
 pub mod stats;
@@ -56,9 +55,6 @@ pub use file::{FormatVersion, ReadError, TraceFile, TraceReader, TraceWriter};
 pub use index::{CheckpointIndex, IndexEntry};
 pub use record::{Access, AccessKind, InstrAddr, MemAddr, Record};
 pub use sample::{SampleSink, SampleSpec, SampleState, DEFAULT_SAMPLE_SEED};
-pub use shard::{
-    shard_of, BlockItem, BlockRouter, RecordRouter, ShardBlock, ShardBuffer, ShardingSink,
-};
 pub use sink::{CountingSink, NullSink, TeeSink, TraceSink, VecSink};
 pub use source::RecordSource;
 pub use stats::TraceStats;

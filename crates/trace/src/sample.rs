@@ -14,11 +14,10 @@
 //! | `warmup:N` | per reference, *skip* the first `N` accesses |
 //! | `reservoir:N[:SEED]` | per reference, keep the first `N` accesses, then accept access `k` iff `hash(seed, instr, k) mod (k+1) < N` — Algorithm R's acceptance schedule made deterministic, forwarding `O(N log K)` of `K` accesses |
 //!
-//! "Per reference" means per instruction address — exactly the key the
-//! sharded analyzer partitions by, so a sampled stream analyzes
-//! **identically** for any worker count: each shard observes its own
-//! references' full access sub-sequences and reproduces the same accept
-//! decisions the sequential analyzer makes. Checkpoints always pass
+//! "Per reference" means per instruction address, so each decision depends
+//! only on that reference's own access sub-sequence: thinning a stream with
+//! [`SampleSink`] and analyzing the rest in full gives the same result as
+//! an analyzer that embeds the same spec. Checkpoints always pass
 //! (Algorithm 2's loop-tree reconstruction must see every one), so
 //! sampling changes *model fidelity*, never *model validity*.
 //!
@@ -155,7 +154,7 @@ fn mix64(mut z: u64) -> u64 {
 ///
 /// State is one counter per instruction address, so decisions depend only
 /// on each reference's own access sub-sequence — the property that makes
-/// sampling commute with instruction-address sharding.
+/// a thinned recording analyze like an embedded sampler.
 #[derive(Debug, Clone, Default)]
 pub struct SampleState {
     spec: SampleSpec,

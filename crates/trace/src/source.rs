@@ -5,8 +5,8 @@
 //! pushes records during profiling); `RecordSource` is the *pull* half —
 //! in-memory slices, zero-copy byte decoders, and on-disk trace files all
 //! replay through the same interface, so every consumer built on
-//! `TraceSink` (the sequential analyzer, the sharded analyzer, statistics,
-//! tees, writers) works identically on any of them.
+//! `TraceSink` (the analyzer, statistics, tees, writers) works identically
+//! on any of them.
 //!
 //! Sources are consumed by value: replaying advances the underlying
 //! decoder, and a second replay needs a fresh source (cheap for slices and
@@ -148,8 +148,8 @@ impl RecordSource for &[Record] {
 }
 
 /// Replays [`TraceFile::records`]; the borrow lets one opened file be
-/// replayed many times (e.g. sequential and sharded analyses of the same
-/// trace).
+/// replayed many times (e.g. analyses under several configurations of the
+/// same trace).
 impl RecordSource for &TraceFile {
     type Error = ReadError;
 

@@ -3,15 +3,18 @@
 //! * Algorithm 3 recovers randomly generated affine access patterns
 //!   *exactly*;
 //! * both trace codecs round-trip arbitrary record streams;
+//! * deterministic sampling: identity specs change nothing, and a stream
+//!   thinned by `SampleSink` analyzes exactly like the analyzer's embedded
+//!   sampler (the `trace record --sample` and `model --sample` paths);
 //! * the interpreter agrees with a Rust-side reference evaluator on random
 //!   arithmetic expressions;
 //! * pretty-printed programs re-parse to the same text (fixpoint);
 //! * the exact knapsack dominates greedy and matches brute force on small
 //!   instances.
 
-use foray::{analyze, FilterConfig, ForayModel};
+use foray::{analyze, analyze_with, AnalyzerConfig, FilterConfig, ForayModel, SampleSpec};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
-use minic_trace::{AccessKind, Record};
+use minic_trace::{AccessKind, Record, SampleSink, TraceSink, VecSink};
 use proptest::prelude::*;
 
 // ---------- Algorithm 3 recovers synthetic affine nests ----------
@@ -153,6 +156,68 @@ proptest! {
         let bytes = minic_trace::binary::to_bytes(&records);
         let parsed = minic_trace::binary::from_bytes(&bytes).unwrap();
         prop_assert_eq!(parsed, records);
+    }
+}
+
+// ---------- deterministic sampling ----------
+
+/// Records over a dozen user sites, so references repeat and the
+/// per-reference sampling counters actually advance.
+fn arb_site_record() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        (0u32..8, 0usize..3).prop_map(|(l, k)| {
+            let kind = [LoopBegin, BodyBegin, BodyEnd][k];
+            Record::checkpoint(l, kind)
+        }),
+        (0u32..12, any::<u32>(), any::<bool>()).prop_map(|(site, a, w)| {
+            Record::access(
+                0x40_0000 + 4 * site,
+                a,
+                if w { AccessKind::Write } else { AccessKind::Read },
+            )
+        }),
+    ]
+}
+
+/// Every non-identity sampling mode, parameterized.
+fn arb_sample() -> impl Strategy<Value = SampleSpec> {
+    prop_oneof![
+        (2u64..6).prop_map(|n| SampleSpec::EveryNth { n }),
+        (0u64..24).prop_map(|skip| SampleSpec::Warmup { skip }),
+        (1u64..8, any::<u64>()).prop_map(|(size, seed)| SampleSpec::Reservoir { size, seed }),
+    ]
+}
+
+fn sampled(sample: SampleSpec) -> AnalyzerConfig {
+    AnalyzerConfig { sample, ..AnalyzerConfig::default() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn identity_sampling_specs_change_nothing(
+        records in proptest::collection::vec(arb_site_record(), 0..300),
+    ) {
+        let full = analyze(&records);
+        for sample in [SampleSpec::EveryNth { n: 1 }, SampleSpec::Warmup { skip: 0 }] {
+            prop_assert_eq!(&analyze_with(&records, sampled(sample)), &full, "{:?}", sample);
+        }
+    }
+
+    #[test]
+    fn thinned_stream_analyzes_like_embedded_sampling(
+        records in proptest::collection::vec(arb_site_record(), 0..300),
+        sample in arb_sample(),
+    ) {
+        let embedded = analyze_with(&records, sampled(sample));
+        let mut sink = SampleSink::new(sample, VecSink::new());
+        for r in &records {
+            sink.record(r);
+        }
+        sink.finish();
+        let thinned = sink.into_inner().into_records();
+        prop_assert_eq!(&analyze(&thinned), &embedded, "{:?}", sample);
     }
 }
 

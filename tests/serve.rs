@@ -6,8 +6,8 @@
 //!
 //! The load-bearing claim: a cached resubmission returns bytes identical
 //! to a direct in-process run **and** to its own cold-path response, for
-//! any analysis worker count K — that is exactly the determinism contract
-//! the shard/stream equivalence suites lock, lifted to the service layer.
+//! any daemon compute-thread count K — each job runs the one sequential
+//! analyzer, so the pool width can only change which thread computes it.
 
 use foray_serve::{
     resolve, Client, ErrorCode, JobInput, JobKind, JobSpec, Response, ServeAddr, ServeConfig,
@@ -19,8 +19,8 @@ use std::time::Duration;
 
 /// A manual-drive server: no background workers, jobs run via `step_one`
 /// so every test is deterministic.
-fn manual(default_shards: usize) -> Server {
-    Server::new(ServeConfig { workers: 0, default_shards, ..ServeConfig::default() })
+fn manual() -> Server {
+    Server::new(ServeConfig { workers: 0, ..ServeConfig::default() })
 }
 
 fn workload_spec(name: &str) -> JobSpec {
@@ -41,8 +41,8 @@ fn run_job(srv: &Server, spec: &JobSpec) -> (bool, String) {
 
 // ---------- tentpole acceptance: corpus byte-identity across K ----------
 
-/// Every corpus workload, served across K ∈ {1, 2, auto} analysis
-/// workers: the daemon's cold response equals a direct `ForayGen` run
+/// Every corpus workload, served by daemons with K ∈ {1, 2, auto} compute
+/// threads: the daemon's cold response equals a direct `ForayGen` run
 /// byte for byte, and the cached resubmission equals the cold response —
 /// with the hit verified by counters, not vibes.
 #[test]
@@ -54,8 +54,8 @@ fn corpus_served_bytes_equal_direct_runs_for_k_1_2_auto() {
             .run_source(&workload.source)
             .expect("direct run")
             .code;
-        for k in [1usize, 2, 0] {
-            let srv = manual(k);
+        for k in [1usize, 2, foray::resolve_shards(0)] {
+            let srv = Server::new(ServeConfig { workers: k, ..ServeConfig::default() });
             let spec = workload_spec(workload.name);
             let (cold_hit, cold) = run_job(&srv, &spec);
             assert!(!cold_hit);
@@ -78,7 +78,7 @@ fn corpus_served_bytes_equal_direct_runs_for_k_1_2_auto() {
 /// tags.
 #[test]
 fn report_and_dse_payloads_cache_byte_identically() {
-    let srv = manual(0);
+    let srv = manual();
     for (kind, schema) in
         [(JobKind::Report, "foray-serve-report/v1"), (JobKind::Dse, "foray-dse/v1")]
     {
@@ -99,7 +99,7 @@ fn report_and_dse_payloads_cache_byte_identically() {
 /// engine-equivalence guarantee observed through the service).
 #[test]
 fn engines_are_distinct_keys_with_identical_payloads() {
-    let srv = manual(0);
+    let srv = manual();
     let vm = workload_spec("adpcmc");
     let tree = JobSpec { engine: foray::Engine::Tree, ..vm.clone() };
     let (_, vm_bytes) = run_job(&srv, &vm);

@@ -7,8 +7,8 @@
 //!
 //! * every corpus workload at scale 1 and 2 (trace bytes, access and
 //!   checkpoint counts, printed output, heap allocations);
-//! * the full pipeline end to end (analysis, emitted FORAY model code,
-//!   trace statistics);
+//! * the full pipeline end to end at scale 1 and 2 (analysis, emitted
+//!   FORAY model code, trace statistics);
 //! * runtime *errors* (same variant, same message) on the failure paths;
 //! * property tests over randomized inputs and scales.
 
@@ -81,14 +81,19 @@ fn all_workloads_byte_identical_at_scale_1_and_2() {
 #[test]
 fn pipeline_end_to_end_identical() {
     // The whole Algorithm 1 flow — profile, analyze online, extract,
-    // emit — must produce the same model code under either engine.
-    for w in all(Params::default()) {
-        let tree = w.run_with(ForayGen::new().sim(config(Engine::Tree))).unwrap();
-        let vm = w.run_with(ForayGen::new().sim(config(Engine::Vm))).unwrap();
-        assert_eq!(tree.analysis, vm.analysis, "{}: analysis", w.name);
-        assert_eq!(tree.code, vm.code, "{}: emitted model code", w.name);
-        assert_eq!(tree.trace_stats, vm.trace_stats, "{}: trace stats", w.name);
-        assert_eq!(tree.hints.len(), vm.hints.len(), "{}: inline hints", w.name);
+    // emit — must produce the same model code under either engine, over
+    // the workload × scale matrix. The tree engine shares no code with
+    // the VM, so it is the oracle for the one analysis path.
+    for scale in [1u32, 2] {
+        for w in all(Params { scale }) {
+            let ctx = format!("{} scale {scale}", w.name);
+            let tree = w.run_with(ForayGen::new().sim(config(Engine::Tree))).unwrap();
+            let vm = w.run_with(ForayGen::new().sim(config(Engine::Vm))).unwrap();
+            assert_eq!(tree.analysis, vm.analysis, "{ctx}: analysis");
+            assert_eq!(tree.code, vm.code, "{ctx}: emitted model code");
+            assert_eq!(tree.trace_stats, vm.trace_stats, "{ctx}: trace stats");
+            assert_eq!(tree.hints.len(), vm.hints.len(), "{ctx}: inline hints");
+        }
     }
 }
 
