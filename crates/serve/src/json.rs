@@ -59,7 +59,7 @@ impl Json {
     ///
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -147,21 +147,31 @@ impl Json {
 }
 
 /// Writes `s` as a quoted, escaped JSON string.
+///
+/// Runs of bytes that need no escape are copied with one `push_str`; every
+/// byte that ends a run is ASCII, so each run is whole UTF-8.
 pub fn write_json_str(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => out.push_str(&format!("\\u{b:04x}")),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -171,6 +181,7 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -247,6 +258,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the longest run that needs no decoding in one step. Each
+            // byte that can end a run (`"`, `\\`, a control byte) is ASCII,
+            // so the run ends on a char boundary of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            let end = self.pos + run.unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -283,15 +302,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -423,6 +434,31 @@ mod tests {
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Int(1).get("x"), None, "non-objects have no keys");
+    }
+
+    #[test]
+    fn multi_mib_strings_parse_in_linear_time() {
+        // 4 MiB of plain runs, multi-byte scalars, and every escape kind.
+        let unit = "plain text, héllo → 世界 \"quoted\" back\\slash\n\t\u{1}\u{1f} ";
+        let s = unit.repeat((4 << 20) / unit.len());
+        let line = Json::Str(s.clone()).render();
+        let start = std::time::Instant::now();
+        let back = Json::parse(&line).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.as_str(), Some(s.as_str()));
+        // A linear parse takes milliseconds even unoptimized. Re-scanning
+        // the rest of the line per character, as a quadratic parser does,
+        // takes minutes at this size.
+        assert!(took < std::time::Duration::from_secs(5), "4 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let err = |line: &str| Json::parse(line).unwrap_err();
+        assert_eq!(err("\"abc").offset, 4, "unterminated: at the end of input");
+        assert_eq!(err("\"ab\u{1}c\"").offset, 3, "raw control byte: at the byte");
+        assert_eq!(err("\"ab\\qc\"").offset, 4, "bad escape: at the escape letter");
+        assert_eq!(err("\"é\\u12\"").offset, 4, "truncated \\u: at the `u`");
     }
 
     #[test]

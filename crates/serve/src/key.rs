@@ -29,6 +29,7 @@ use crate::protocol::{JobInput, JobSpec};
 use crate::{ErrorCode, ProtoError};
 use foray::StableHasher;
 use foray_workloads::{by_name, Params};
+use std::borrow::Cow;
 use std::fs;
 
 /// Version tag mixed into every key; bump when key semantics change.
@@ -75,9 +76,9 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
             let w = by_name(name, Params { scale: spec.scale }).ok_or_else(|| {
                 ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
             })?;
-            (Some(canonicalize(&w.source)), w.inputs)
+            (Some(canonicalize(Cow::Owned(w.source))), w.inputs)
         }
-        JobInput::Source(text) => (Some(canonicalize(text)), Vec::new()),
+        JobInput::Source(text) => (Some(canonicalize(Cow::Borrowed(text))), Vec::new()),
         JobInput::Trace(path) => {
             let bytes = fs::read(path).map_err(|e| {
                 ProtoError::new(ErrorCode::BadRequest, format!("cannot read trace `{path}`: {e}"))
@@ -97,7 +98,12 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
     foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc }.stable_digest(&mut h);
     analyzer_config_for(spec).stable_digest(&mut h);
 
-    Ok(ResolvedJob { key: h.finish_hex(), spec: spec.clone(), source, inputs })
+    Ok(ResolvedJob {
+        key: h.finish_hex(),
+        spec: spec.clone(),
+        source: source.map(Cow::into_owned),
+        inputs,
+    })
 }
 
 /// The analyzer configuration a job runs with (sampling is the only
@@ -108,9 +114,14 @@ pub(crate) fn analyzer_config_for(spec: &JobSpec) -> foray::AnalyzerConfig {
 }
 
 /// Normalizes line endings so the same program submitted from different
-/// platforms shares one cache entry.
-fn canonicalize(source: &str) -> String {
-    source.replace("\r\n", "\n")
+/// platforms shares one cache entry. A source with no `\r\n` passes
+/// through uncopied.
+fn canonicalize(source: Cow<'_, str>) -> Cow<'_, str> {
+    if source.contains("\r\n") {
+        Cow::Owned(source.replace("\r\n", "\n"))
+    } else {
+        source
+    }
 }
 
 #[cfg(test)]

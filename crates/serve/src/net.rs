@@ -124,8 +124,7 @@ fn drive_connection(server: &Server, stream: &dyn Conn) -> bool {
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = server.handle_line(&line);
-        let mut payload = response.render();
+        let (mut payload, shutdown) = server.reply_line(&line);
         payload.push('\n');
         if write.write_all(payload.as_bytes()).and_then(|()| write.flush()).is_err() {
             break;

@@ -19,7 +19,7 @@
 //! (`{"ok":false,"error":CODE,"message":...}`) — a malformed line earns an
 //! error response, never a dropped connection.
 
-use crate::json::{obj, Json};
+use crate::json::{obj, write_json_str, Json};
 use foray::{Engine, SampleSpec};
 use std::fmt;
 
@@ -332,13 +332,7 @@ impl Response {
                 ("job", Json::Str(job.clone())),
                 ("state", Json::Str((*state).into())),
             ]),
-            Response::Result { job, hit, result } => obj([
-                ("ok", Json::Bool(true)),
-                ("type", Json::Str("result".into())),
-                ("job", Json::Str(job.clone())),
-                ("hit", Json::Bool(*hit)),
-                ("result", Json::Str(result.clone())),
-            ]),
+            Response::Result { job, hit, result } => return render_result(job, *hit, result),
             Response::Stats(s) => obj([
                 ("ok", Json::Bool(true)),
                 ("type", Json::Str("stats".into())),
@@ -438,6 +432,21 @@ impl Response {
             other => Err(format!("unknown reply type `{other}`")),
         }
     }
+}
+
+/// Renders a `result` reply line, byte-identical to [`Response::render`]
+/// of [`Response::Result`]. The payload is escaped straight from the
+/// borrowed text, so the daemon writes a cached payload without first
+/// copying it into a `String` or a [`Json`] value.
+pub(crate) fn render_result(job: &str, hit: bool, result: &str) -> String {
+    let mut out = String::with_capacity(result.len() + job.len() + 64);
+    out.push_str("{\"ok\":true,\"type\":\"result\",\"job\":");
+    write_json_str(job, &mut out);
+    out.push_str(if hit { ",\"hit\":true" } else { ",\"hit\":false" });
+    out.push_str(",\"result\":");
+    write_json_str(result, &mut out);
+    out.push('}');
+    out
 }
 
 /// Parses one request line into a [`Request`], with typed errors for every
@@ -630,6 +639,23 @@ mod tests {
             let line = r.render();
             assert!(!line.contains('\n'), "one line per reply: {line}");
             assert_eq!(Response::parse(&line).unwrap(), r, "{line}");
+        }
+    }
+
+    #[test]
+    fn result_replies_render_like_a_json_object() {
+        for (job, hit, result) in
+            [("j0", false, ""), ("j7", true, "for (i = 0;;) {\n\t\"x\" \\ \u{1} → 世\n}\n")]
+        {
+            let want = obj([
+                ("ok", Json::Bool(true)),
+                ("type", Json::Str("result".into())),
+                ("job", Json::Str(job.into())),
+                ("hit", Json::Bool(hit)),
+                ("result", Json::Str(result.into())),
+            ])
+            .render();
+            assert_eq!(render_result(job, hit, result), want);
         }
     }
 

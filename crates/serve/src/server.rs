@@ -24,11 +24,12 @@ use crate::cache::ResultCache;
 use crate::json::{obj, Json};
 use crate::key::{analyzer_config_for, resolve, ResolvedJob};
 use crate::protocol::{
-    parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
-    StatsSnapshot,
+    parse_request, render_result, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request,
+    Response, StatsSnapshot,
 };
 use foray::{ForayGen, ForayModel, MemoryBehavior};
 use std::collections::{BinaryHeap, HashMap};
+use std::mem;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -75,18 +76,15 @@ pub struct Submitted {
     pub key: String,
 }
 
+/// A job's record. Only a queued job holds its run materials; a worker
+/// moves them out when it claims the job, so running, finished, and failed
+/// records (cache hits too) keep no source or inputs.
 #[derive(Debug)]
 enum JobState {
-    Queued,
+    Queued(Box<ResolvedJob>),
     Running,
     Done { hit: bool, result: Arc<str> },
     Failed(String),
-}
-
-#[derive(Debug)]
-struct JobRecord {
-    resolved: ResolvedJob,
-    state: JobState,
 }
 
 /// Max-heap entry: highest priority first, then FIFO by sequence.
@@ -122,7 +120,7 @@ struct Counters {
 
 struct State {
     queue: BinaryHeap<QueueEntry>,
-    jobs: HashMap<u64, JobRecord>,
+    jobs: HashMap<u64, JobState>,
     in_flight: HashMap<String, u64>,
     cache: ResultCache,
     counters: Counters,
@@ -205,7 +203,7 @@ impl Server {
             st.counters.cache_hits += 1;
             let id = st.next_id;
             st.next_id += 1;
-            st.jobs.insert(id, JobRecord { resolved, state: JobState::Done { hit: true, result } });
+            st.jobs.insert(id, JobState::Done { hit: true, result });
             return Ok(Submitted { job: format!("j{id}"), hit: true, key });
         }
         if let Some(&id) = st.in_flight.get(&key) {
@@ -225,7 +223,7 @@ impl Server {
         st.next_id += 1;
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.jobs.insert(id, JobRecord { resolved, state: JobState::Queued });
+        st.jobs.insert(id, JobState::Queued(Box::new(resolved)));
         st.in_flight.insert(key.clone(), id);
         st.queue.push(QueueEntry { priority: spec.priority, seq, id });
         drop(st);
@@ -247,16 +245,16 @@ impl Server {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.shared.lock();
         loop {
-            let rec = st
+            let state = st
                 .jobs
                 .get(&id)
                 .ok_or_else(|| ProtoError::new(ErrorCode::UnknownJob, format!("no job `{job}`")))?;
-            match &rec.state {
+            match state {
                 JobState::Done { hit, result } => return Ok((*hit, Arc::clone(result))),
                 JobState::Failed(msg) => {
                     return Err(ProtoError::new(ErrorCode::JobFailed, msg.clone()))
                 }
-                JobState::Queued | JobState::Running => {}
+                JobState::Queued(_) | JobState::Running => {}
             }
             st = match deadline {
                 None => {
@@ -288,12 +286,12 @@ impl Server {
     pub fn poll(&self, job: &str) -> Result<&'static str, ProtoError> {
         let id = parse_job_id(job)?;
         let st = self.shared.lock();
-        let rec = st
+        let state = st
             .jobs
             .get(&id)
             .ok_or_else(|| ProtoError::new(ErrorCode::UnknownJob, format!("no job `{job}`")))?;
-        Ok(match rec.state {
-            JobState::Queued => "queued",
+        Ok(match state {
+            JobState::Queued(_) => "queued",
             JobState::Running => "running",
             JobState::Done { .. } => "done",
             JobState::Failed(_) => "failed",
@@ -330,7 +328,7 @@ impl Server {
         };
         match claimed {
             Some((id, resolved)) => {
-                run_claimed(&self.shared, id, &resolved);
+                run_claimed(&self.shared, id, *resolved);
                 true
             }
             None => false,
@@ -380,35 +378,63 @@ impl Server {
     /// Returns the response plus whether the daemon should begin draining
     /// (a `shutdown` command was acknowledged).
     pub fn handle_line(&self, line: &str) -> (Response, bool) {
+        let (reply, shutdown) = self.dispatch(line);
+        let response = match reply {
+            Reply::Payload { job, hit, result } => {
+                Response::Result { job, hit, result: result.to_string() }
+            }
+            Reply::Other(response) => response,
+        };
+        (response, shutdown)
+    }
+
+    /// [`Server::handle_line`] rendered as the reply line. A finished
+    /// payload is escaped straight out of its shared cache entry, never
+    /// copied first.
+    pub(crate) fn reply_line(&self, line: &str) -> (String, bool) {
+        let (reply, shutdown) = self.dispatch(line);
+        let rendered = match reply {
+            Reply::Payload { job, hit, result } => render_result(&job, hit, &result),
+            Reply::Other(response) => response.render(),
+        };
+        (rendered, shutdown)
+    }
+
+    fn dispatch(&self, line: &str) -> (Reply, bool) {
         let req = match parse_request(line) {
             Ok(r) => r,
-            Err(e) => return (Response::Error(e), false),
+            Err(e) => return (Reply::Other(Response::Error(e)), false),
         };
-        match req {
+        let response = match req {
             Request::Submit(spec) => match self.submit(&spec) {
-                Ok(s) => (Response::Submitted { job: s.job, hit: s.hit, key: s.key }, false),
-                Err(e) => (Response::Error(e), false),
+                Ok(s) => Response::Submitted { job: s.job, hit: s.hit, key: s.key },
+                Err(e) => Response::Error(e),
             },
             Request::Wait { job, timeout_ms } => {
                 match self.wait(&job, timeout_ms.map(Duration::from_millis)) {
-                    Ok((hit, result)) => {
-                        (Response::Result { job, hit, result: result.to_string() }, false)
-                    }
-                    Err(e) => (Response::Error(e), false),
+                    Ok((hit, result)) => return (Reply::Payload { job, hit, result }, false),
+                    Err(e) => Response::Error(e),
                 }
             }
             Request::Poll { job } => match self.poll(&job) {
-                Ok(state) => (Response::Status { job, state }, false),
-                Err(e) => (Response::Error(e), false),
+                Ok(state) => Response::Status { job, state },
+                Err(e) => Response::Error(e),
             },
-            Request::Stats => (Response::Stats(self.stats()), false),
-            Request::Ping => (Response::Pong, false),
+            Request::Stats => Response::Stats(self.stats()),
+            Request::Ping => Response::Pong,
             Request::Shutdown => {
                 self.begin_shutdown();
-                (Response::ShutdownStarted, true)
+                return (Reply::Other(Response::ShutdownStarted), true);
             }
-        }
+        };
+        (Reply::Other(response), false)
     }
+}
+
+/// A reply before rendering: a finished payload stays behind its `Arc`.
+enum Reply {
+    Payload { job: String, hit: bool, result: Arc<str> },
+    Other(Response),
 }
 
 impl Drop for Server {
@@ -437,24 +463,27 @@ fn worker_loop(shared: &Arc<Shared>) {
                 st = shared.work.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        run_claimed(shared, claimed.0, &claimed.1);
+        run_claimed(shared, claimed.0, *claimed.1);
     }
 }
 
-/// Pops the highest-priority job and marks it running — one atomic step
-/// under the lock, so a drain check never sees a popped-but-unmarked job.
-fn claim_next(st: &mut State) -> Option<(u64, ResolvedJob)> {
+/// Pops the highest-priority job, marks it running, and moves its run
+/// materials out of the record — one atomic step under the lock, so a
+/// drain check never sees a popped-but-unmarked job.
+fn claim_next(st: &mut State) -> Option<(u64, Box<ResolvedJob>)> {
     let id = st.queue.pop()?.id;
-    let rec = st.jobs.get_mut(&id).expect("queued job has a record");
-    rec.state = JobState::Running;
+    let state = st.jobs.get_mut(&id).expect("queued job has a record");
+    let JobState::Queued(resolved) = mem::replace(state, JobState::Running) else {
+        unreachable!("only queued jobs enter the queue, and each enters once")
+    };
     st.running += 1;
-    Some((id, rec.resolved.clone()))
+    Some((id, resolved))
 }
 
 /// Computes a claimed job unlocked, then publishes the result (into the
-/// cache on success) and wakes waiters.
-fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
-    let outcome = compute(resolved);
+/// cache on success) and wakes waiters. The run materials are dropped here.
+fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: ResolvedJob) {
+    let outcome = compute(&resolved);
     let mut st = shared.lock();
     st.running -= 1;
     st.in_flight.remove(&resolved.key);
@@ -463,15 +492,11 @@ fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
             let result: Arc<str> = Arc::from(text);
             st.cache.insert(&resolved.key, Arc::clone(&result));
             st.counters.computed += 1;
-            if let Some(rec) = st.jobs.get_mut(&id) {
-                rec.state = JobState::Done { hit: false, result };
-            }
+            st.jobs.insert(id, JobState::Done { hit: false, result });
         }
         Err(msg) => {
             st.counters.failed += 1;
-            if let Some(rec) = st.jobs.get_mut(&id) {
-                rec.state = JobState::Failed(msg);
-            }
+            st.jobs.insert(id, JobState::Failed(msg));
         }
     }
     drop(st);

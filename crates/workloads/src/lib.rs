@@ -116,23 +116,30 @@ impl Workload {
     }
 }
 
+/// Builds one workload at the given size.
+type Generator = fn(Params) -> Workload;
+
+/// Every workload's name and generator, in [`all`]'s order. [`all`] and
+/// [`by_name`] both read this table, so the name list lives here alone.
+const REGISTRY: [(&str, Generator); 7] = [
+    ("jpegc", jpegc::workload),
+    ("lamec", lamec::workload),
+    ("susanc", susanc::workload),
+    ("fftc", fftc::workload),
+    ("gsmc", gsmc::workload),
+    ("adpcmc", adpcmc::workload),
+    ("histoc", histoc::workload),
+];
+
 /// All workloads at the given size: the six MiBench analogues plus the
 /// data-dependent irregular probe (`histoc`).
 pub fn all(params: Params) -> Vec<Workload> {
-    vec![
-        jpegc::workload(params),
-        lamec::workload(params),
-        susanc::workload(params),
-        fftc::workload(params),
-        gsmc::workload(params),
-        adpcmc::workload(params),
-        histoc::workload(params),
-    ]
+    REGISTRY.iter().map(|(_, generate)| generate(params)).collect()
 }
 
-/// Looks a workload up by name.
+/// Looks a workload up by name, generating only that one.
 pub fn by_name(name: &str, params: Params) -> Option<Workload> {
-    all(params).into_iter().find(|w| w.name == name)
+    REGISTRY.iter().find(|(n, _)| *n == name).map(|(_, generate)| generate(params))
 }
 
 #[cfg(test)]
@@ -149,6 +156,22 @@ mod tests {
             assert!(by_name(n, Params::default()).is_some());
         }
         assert!(by_name("nope", Params::default()).is_none());
+    }
+
+    #[test]
+    fn by_name_generates_exactly_the_registry_entry() {
+        for scale in 1..=3 {
+            let params = Params { scale };
+            for w in all(params) {
+                let named = by_name(w.name, params).expect("every listed name resolves");
+                assert_eq!(named.name, w.name);
+                assert_eq!(named.source, w.source, "{} source at scale {scale}", w.name);
+                assert_eq!(named.inputs, w.inputs, "{} inputs at scale {scale}", w.name);
+            }
+            for unknown in ["", "fft", "FFTC", "mp3floatc", "fftc "] {
+                assert!(by_name(unknown, params).is_none(), "{unknown:?} is not a workload");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! daemon responses against direct `ForayGen` runs over the full corpus,
 //! cache semantics verified by counters, concurrency robustness
 //! (thundering herd, backpressure, malformed protocol lines, drain
-//! shutdown), and property tests pinning the cache-key digest.
+//! shutdown), property tests pinning the cache-key digest, and property
+//! tests locking the protocol's string escaping.
 //!
 //! The load-bearing claim: a cached resubmission returns bytes identical
 //! to a direct in-process run **and** to its own cold-path response, for
@@ -437,5 +438,69 @@ mod digest_props {
         let r = resolve(&spec).unwrap();
         assert_eq!(r.key, "9877c3d77aff7713");
         assert_eq!(foray_serve::KEY_SCHEMA, "foray-serve-key/v1");
+    }
+}
+
+// ---------- protocol string properties ----------
+
+mod json_props {
+    use foray_serve::json::Json;
+    use proptest::prelude::*;
+
+    /// Scalars from every class the string path treats differently: plain
+    /// ASCII, quotes and backslashes, control characters (short escapes and
+    /// `\u00XX`), DEL, and 2-, 3- and 4-byte UTF-8.
+    fn arb_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            0x20u32..0x7f,
+            Just(u32::from('"')),
+            Just(u32::from('\\')),
+            0u32..0x20,
+            Just(0x7fu32),
+            0x80u32..0x800,
+            0x800u32..0xd800,
+            0xe000u32..0x1_0000,
+            0x1_0000u32..0x11_0000,
+        ]
+        .prop_map(|c| char::from_u32(c).expect("ranges hold scalar values only"))
+    }
+
+    fn arb_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(arb_char(), 0..64).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// The escaping the protocol has always written, one char at a time:
+    /// the reference the run-copying writer must match byte for byte.
+    fn reference_render(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rendering then parsing any string gives it back, and the
+        /// rendered bytes are the escaping clients already rely on.
+        #[test]
+        fn strings_round_trip_through_render_and_parse(s in arb_string()) {
+            let line = Json::Str(s.clone()).render();
+            prop_assert_eq!(&line, &reference_render(&s));
+            prop_assert_eq!(Json::parse(&line).unwrap(), Json::Str(s.clone()));
+            // Inside an object, as a request or reply field.
+            let obj = Json::Obj(vec![(s.clone(), Json::Str(s.clone()))]);
+            prop_assert_eq!(Json::parse(&obj.render()).unwrap(), obj);
+        }
     }
 }
